@@ -62,6 +62,10 @@ type Baseline struct {
 	// CacheHitAllocs is heap allocations per hot-path compile cache hit
 	// (testing.AllocsPerRun over the server's HTTP surface).
 	CacheHitAllocs float64 `json:"cache_hit_allocs,omitempty"`
+	// SimAllocsPerCycle is heap allocations per simulated cycle of the
+	// running example on a warm Runner; gated at an absolute 0.05 ceiling,
+	// recorded here for trend tracking.
+	SimAllocsPerCycle float64 `json:"sim_allocs_per_cycle,omitempty"`
 	// ProvenanceAppendNsOp is one provenance-chain append on the compile
 	// path (sync index update + queue handoff); gated at an absolute <1%
 	// of compile_loop_ns_op, recorded here for trend tracking.
@@ -567,6 +571,32 @@ func measureCacheHitAllocs() float64 {
 	})
 }
 
+// measureSimAllocsPerCycle returns heap allocations per simulated cycle
+// of the running example's latency-tolerant kernel, run a few thousand
+// cycles at a time on a warm Runner. A run's own allocations (its result
+// and architectural state) spread over its cycles; the per-cycle hot loop
+// itself must allocate nothing.
+func measureSimAllocsPerCycle() float64 {
+	c, err := ltsp.Compile(exampleLoop(), ltsp.Options{Mode: ltsp.ModeHLO, LatencyTolerant: true})
+	if err != nil {
+		fatal(err)
+	}
+	const trip = 4000
+	runner := ltsp.NewRunner(nil)
+	mem := ltsp.NewMemory()
+	run := func() int64 {
+		res, err := runner.Run(c.Program, trip, mem)
+		if err != nil {
+			fatal(err)
+		}
+		return res.Cycles
+	}
+	run() // warm caches, memory pages and the runner's scratch
+	var cycles int64
+	allocs := testing.AllocsPerRun(20, func() { cycles = run() })
+	return allocs / float64(cycles)
+}
+
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 	os.Exit(1)
@@ -600,8 +630,9 @@ func main() {
 	hitAllocs := measureCacheHitAllocs()
 	provNs := measureProvenanceAppend(*loopReps, 20000)
 	healthAllocs := measureHealthAllocs()
-	fmt.Printf("measured: compile_loop %.0f ns/op, compile_time %.3f s, shed_admit %.1f ns/op, verify %.0f ns/op, cache_hit %.1f ns/op, disk_hit %.0f ns/op, untraced %.1f ns/op, traced %.0f ns/op, req_decode_ratio %.1fx, artifact_decode_ratio %.1fx, cache_hit_allocs %.0f, provenance_append %.1f ns/op, health_allocs %.0f (workers %d, cores %d)\n",
-		loopNs, ctSec, shedNs, verifyNs, hitNs, diskNs, untracedNs, tracedNs, reqRatio, artRatio, hitAllocs, provNs, healthAllocs, experiments.Workers(), runtime.GOMAXPROCS(0))
+	simAllocs := measureSimAllocsPerCycle()
+	fmt.Printf("measured: compile_loop %.0f ns/op, compile_time %.3f s, shed_admit %.1f ns/op, verify %.0f ns/op, cache_hit %.1f ns/op, disk_hit %.0f ns/op, untraced %.1f ns/op, traced %.0f ns/op, req_decode_ratio %.1fx, artifact_decode_ratio %.1fx, cache_hit_allocs %.0f, provenance_append %.1f ns/op, health_allocs %.0f, sim_allocs_per_cycle %.4f (workers %d, cores %d)\n",
+		loopNs, ctSec, shedNs, verifyNs, hitNs, diskNs, untracedNs, tracedNs, reqRatio, artRatio, hitAllocs, provNs, healthAllocs, simAllocs, experiments.Workers(), runtime.GOMAXPROCS(0))
 
 	// The admission-control decision sits on every request's path, so it
 	// is gated absolutely against this run's own compile measurement: the
@@ -712,6 +743,17 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The simulator drives every experiment table and the simulate
+	// service; its cost must be the timing model's work, so a simulated
+	// cycle may not allocate. The ceiling leaves room only for the
+	// per-run result spread over the run's cycles.
+	const maxSimAllocsPerCycle = 0.05
+	if simAllocs > maxSimAllocsPerCycle {
+		fmt.Fprintf(os.Stderr,
+			"benchguard: simulator allocates %.4f times per simulated cycle, budget %g\n", simAllocs, maxSimAllocsPerCycle)
+		os.Exit(1)
+	}
+
 	if *write {
 		b := Baseline{
 			CompileLoopNsOp:      loopNs,
@@ -720,6 +762,7 @@ func main() {
 			RequestDecodeRatio:   reqRatio,
 			ArtifactDecodeRatio:  artRatio,
 			CacheHitAllocs:       hitAllocs,
+			SimAllocsPerCycle:    simAllocs,
 			ProvenanceAppendNsOp: provNs,
 			Cores:                runtime.GOMAXPROCS(0),
 			Note:                 "written by cmd/benchguard -write; refresh deliberately, not to silence the gate",

@@ -94,26 +94,37 @@ type line struct {
 	lastUse int64
 }
 
+// level holds its Sets*Ways lines in one flat array, set by set, so that
+// building a level is one allocation and emptying it is a clear.
 type level struct {
-	cfg  LevelConfig
-	sets [][]line
-	tick int64
+	cfg   LevelConfig
+	lines []line
+	tick  int64
 }
 
 func newLevel(cfg LevelConfig) *level {
-	l := &level{cfg: cfg, sets: make([][]line, cfg.Sets)}
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Ways)
-	}
-	return l
+	return &level{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}
+}
+
+// set returns the ways of the set tag maps to.
+func (l *level) set(tag int64) []line {
+	i := int(tag&int64(l.cfg.Sets-1)) * l.cfg.Ways
+	return l.lines[i : i+l.cfg.Ways]
+}
+
+// reset invalidates every line and restarts the LRU clock, leaving the
+// level as newLevel built it.
+func (l *level) reset() {
+	clear(l.lines)
+	l.tick = 0
 }
 
 // probe returns the line if present.
 func (l *level) probe(addr int64) *line {
 	tag := addr >> l.cfg.LineShift
-	set := &l.sets[tag&int64(l.cfg.Sets-1)]
-	for i := range *set {
-		ln := &(*set)[i]
+	set := l.set(tag)
+	for i := range set {
+		ln := &set[i]
 		if ln.valid && ln.tag == tag {
 			l.tick++
 			ln.lastUse = l.tick
@@ -126,20 +137,20 @@ func (l *level) probe(addr int64) *line {
 // insert fills addr's line with the given fill time, evicting LRU.
 func (l *level) insert(addr, fill int64) {
 	tag := addr >> l.cfg.LineShift
-	set := &l.sets[tag&int64(l.cfg.Sets-1)]
+	set := l.set(tag)
 	victim := 0
-	for i := range *set {
-		ln := &(*set)[i]
+	for i := range set {
+		ln := &set[i]
 		if !ln.valid {
 			victim = i
 			break
 		}
-		if ln.lastUse < (*set)[victim].lastUse {
+		if ln.lastUse < set[victim].lastUse {
 			victim = i
 		}
 	}
 	l.tick++
-	(*set)[victim] = line{tag: tag, valid: true, fill: fill, lastUse: l.tick}
+	set[victim] = line{tag: tag, valid: true, fill: fill, lastUse: l.tick}
 }
 
 // Hierarchy is a three-level cache hierarchy with fill-time tracking.
@@ -154,6 +165,14 @@ type Hierarchy struct {
 // New builds a hierarchy from the configuration.
 func New(cfg Config) *Hierarchy {
 	return &Hierarchy{cfg: cfg, l1: newLevel(cfg.L1), l2: newLevel(cfg.L2), l3: newLevel(cfg.L3)}
+}
+
+// Reset empties every level in place, as New would build them, and keeps
+// Stats.
+func (h *Hierarchy) Reset() {
+	h.l1.reset()
+	h.l2.reset()
+	h.l3.reset()
 }
 
 // Config returns the hierarchy's configuration.
@@ -247,7 +266,7 @@ func (h *Hierarchy) Contains(levelN int, addr int64) bool {
 		return false
 	}
 	tag := addr >> l.cfg.LineShift
-	set := l.sets[tag&int64(l.cfg.Sets-1)]
+	set := l.set(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true

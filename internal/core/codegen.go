@@ -17,6 +17,7 @@ import (
 // deliberately corrupted schedules in its mutation tests.
 func GenKernel(l *ir.Loop, s *modsched.Schedule, asn *regalloc.Assignment) (*interp.Program, error) {
 	groups := make([][]*ir.Instr, s.II)
+	defs := regalloc.DefSitesOf(l)
 
 	physDef := func(r ir.Reg) (ir.Reg, error) {
 		if !r.Virtual {
@@ -39,7 +40,7 @@ func GenKernel(l *ir.Loop, s *modsched.Schedule, asn *regalloc.Assignment) (*int
 		if a.Kind == regalloc.KindStatic {
 			return ir.Reg{Class: r.Class, N: a.Base}, nil
 		}
-		delta, ok := regalloc.UseDelta(l, s, useID, r)
+		delta, ok := defs.UseDelta(s, useID, r)
 		if !ok {
 			return ir.None, fmt.Errorf("core: %s: rotating %s has no definition", l.Name, r)
 		}
@@ -55,8 +56,10 @@ func GenKernel(l *ir.Loop, s *modsched.Schedule, asn *regalloc.Assignment) (*int
 	// a different source iteration's value. (Data self-uses only; a
 	// qualifying-predicate self-reference rotates.)
 	inPlaceDef := map[ir.Reg]int{}
+	var buf []ir.Reg
 	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
 			for _, u := range in.Srcs {
 				if u == d {
 					inPlaceDef[d] = i
@@ -65,7 +68,8 @@ func GenKernel(l *ir.Loop, s *modsched.Schedule, asn *regalloc.Assignment) (*int
 		}
 	}
 	for i, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if d, ok := inPlaceDef[u]; ok && d != i && s.Stage(d) != s.Stage(i) {
 				return nil, fmt.Errorf("core: %s: body[%d] reads in-place register %s across stages (def stage %d, use stage %d)",
 					l.Name, i, u, s.Stage(d), s.Stage(i))

@@ -47,8 +47,10 @@ func GenSequential(m *machine.Model, l *ir.Loop) (*interp.Program, error) {
 	n := len(l.Body)
 	timeOf := make([]int, n)
 	defAt := map[ir.Reg]int{}
+	var defs, uses []ir.Reg
 	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
+		defs = in.AppendDefs(defs[:0])
+		for _, d := range defs {
 			if !d.IsNone() {
 				defAt[d] = i
 			}
@@ -96,7 +98,8 @@ func GenSequential(m *machine.Model, l *ir.Loop) (*interp.Program, error) {
 
 	for i, in := range l.Body {
 		earliest := 0
-		for _, u := range in.AllUses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			if u.IsNone() {
 				continue
 			}
@@ -113,13 +116,15 @@ func GenSequential(m *machine.Model, l *ir.Loop) (*interp.Program, error) {
 			// d >= i: loop-carried; the runtime stalls if needed, and the
 			// WAR constraint below keeps this iteration's def late enough.
 		}
-		for _, d := range in.AllDefs() {
+		defs = in.AppendDefs(defs[:0])
+		for _, d := range defs {
 			if d.IsNone() {
 				continue
 			}
 			// WAR: every earlier use of d must read before we write.
 			for j := 0; j < i; j++ {
-				for _, u := range l.Body[j].AllUses() {
+				uses = l.Body[j].AppendUses(uses[:0])
+				for _, u := range uses {
 					if u == d && timeOf[j] > earliest {
 						earliest = timeOf[j]
 					}

@@ -109,7 +109,7 @@ func TestGenSequentialRegisterMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, in := range p.Instrs() {
-		for _, r := range append(in.AllDefs(), in.AllUses()...) {
+		for _, r := range in.AppendUses(in.AppendDefs(nil)) {
 			if r.Virtual {
 				t.Fatalf("virtual register %v leaked into codegen", r)
 			}

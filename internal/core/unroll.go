@@ -37,10 +37,14 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 	mve := map[ir.Reg]mveReg{}
 	static := map[ir.Reg]int{}
 
-	defID := map[ir.Reg]int{}
+	// defID holds the virtual definitions only, which are all UseDelta is
+	// asked about here.
+	defID := regalloc.DefSites{}
 	var order []ir.Reg
+	var buf []ir.Reg
 	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
 			if d.Virtual {
 				if _, seen := defID[d]; !seen {
 					defID[d] = i
@@ -52,7 +56,8 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 	var invariants []ir.Reg
 	seen := map[ir.Reg]bool{}
 	for _, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if u.Virtual && !seen[u] {
 				seen[u] = true
 				if _, defined := defID[u]; !defined {
@@ -64,7 +69,8 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 
 	// Cross-stage in-place reads are as illegal here as under rotation.
 	for i, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if d, ok := inPlace[u]; ok && d != i && s.Stage(d) != s.Stage(i) {
 				return nil, 0, stats, fmt.Errorf("core: %s: body[%d] reads in-place register %s across stages",
 					l.Name, i, u)
@@ -81,11 +87,12 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 		}
 		maxDelta := 0
 		for i := range l.Body {
-			for _, u := range l.Body[i].AllUses() {
+			buf = l.Body[i].AppendUses(buf[:0])
+			for _, u := range buf {
 				if u != v {
 					continue
 				}
-				d, _ := regalloc.UseDelta(l, s, i, v)
+				d, _ := defID.UseDelta(s, i, v)
 				if d < 0 {
 					return nil, 0, stats, fmt.Errorf("core: %s: negative delta for %s", l.Name, v)
 				}
@@ -170,7 +177,7 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 		if !ok {
 			return ir.None, fmt.Errorf("core: %s: no MVE set for %s", l.Name, r)
 		}
-		delta, ok := regalloc.UseDelta(l, s, useID, r)
+		delta, ok := defID.UseDelta(s, useID, r)
 		if !ok {
 			return ir.None, fmt.Errorf("core: %s: %s has no definition", l.Name, r)
 		}
@@ -237,7 +244,8 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 		d := defID[init.Reg]
 		carried := false
 		for i := range l.Body {
-			for _, u := range l.Body[i].AllUses() {
+			buf = l.Body[i].AppendUses(buf[:0])
+			for _, u := range buf {
 				if u == init.Reg && d >= i {
 					carried = true
 				}

@@ -74,7 +74,7 @@ func TestUnrolledUsesNoGRRotation(t *testing.T) {
 	}
 	// Stage predicates are the only rotating state.
 	for _, in := range c.Program.Instrs() {
-		for _, r := range append(in.AllDefs(), in.AllUses()...) {
+		for _, r := range in.AppendUses(in.AppendDefs(nil)) {
 			if r.Class == ir.ClassPR && r.N >= 16 {
 				continue // rotating stage predicate: allowed
 			}

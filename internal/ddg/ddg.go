@@ -162,8 +162,10 @@ func Build(l *ir.Loop) (*Graph, error) {
 	g := newGraph(l, n)
 
 	defOf := map[ir.Reg]int{}
+	var buf []ir.Reg
 	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
 			if d.IsNone() {
 				continue
 			}
@@ -188,7 +190,8 @@ func Build(l *ir.Loop) (*Graph, error) {
 	}
 
 	for i, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if u.IsNone() {
 				continue
 			}
@@ -235,7 +238,8 @@ func Build(l *ir.Loop) (*Graph, error) {
 	// — the while-loop validity chain — is not in-place: it rotates.)
 	inPlace := inPlaceRegs(l)
 	for i, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if d, ok := inPlace[u]; ok && d != i {
 				addEdge(Edge{From: i, To: d, Distance: 1, Kind: DepFlow, FixedLatency: 0})
 			}
@@ -258,8 +262,10 @@ func (g *Graph) InPlaceRegs() map[ir.Reg]int { return inPlaceRegs(g.Loop) }
 
 func inPlaceRegs(l *ir.Loop) map[ir.Reg]int {
 	out := map[ir.Reg]int{}
+	var buf []ir.Reg
 	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
 			for _, u := range in.Srcs {
 				if u == d {
 					out[d] = i

@@ -121,12 +121,23 @@ type State struct {
 	DataRotation bool
 
 	rrbGR, rrbFR, rrbPR int
+
+	// pend and effs are Group's scratch, reused from call to call.
+	pend pending
+	effs []Effect
 }
 
 // NewState returns a zeroed state with fresh memory. r0 stays 0, f0 = 0.0,
 // f1 = 1.0 and p0 = true are maintained as architectural constants.
-func NewState() *State {
-	s := &State{Mem: NewMemory(), DataRotation: true}
+func NewState() *State { return NewStateWith(nil) }
+
+// NewStateWith returns a zeroed state, like NewState, over mem, or over
+// fresh memory when mem is nil.
+func NewStateWith(mem *Memory) *State {
+	if mem == nil {
+		mem = NewMemory()
+	}
+	s := &State{Mem: mem, DataRotation: true}
 	s.FR[1] = 1.0
 	s.PR[0] = true
 	return s
@@ -232,19 +243,22 @@ type pending struct {
 }
 
 // Group executes the instructions of one issue group with
-// reads-before-writes semantics and returns their effects. An instruction
-// the interpreter cannot execute (an op outside the executable set —
-// reachable from adversarial wire input, so an error rather than a panic)
-// aborts the group with no writes applied.
+// reads-before-writes semantics and returns their effects, one per
+// instruction. The returned slice is a buffer the state owns: it stays
+// valid until the next Group or Exec call on the same state. An
+// instruction the interpreter cannot execute (an op outside the
+// executable set — reachable from adversarial wire input, so an error
+// rather than a panic) aborts the group with no register writes applied.
 func (s *State) Group(ins []*ir.Instr) ([]Effect, error) {
-	effs := make([]Effect, len(ins))
-	var p pending
-	for i, in := range ins {
-		e, err := s.exec(in, &p)
+	p := &s.pend
+	p.gr, p.fr, p.pr = p.gr[:0], p.fr[:0], p.pr[:0]
+	s.effs = s.effs[:0]
+	for _, in := range ins {
+		e, err := s.exec(in, p)
 		if err != nil {
 			return nil, err
 		}
-		effs[i] = e
+		s.effs = append(s.effs, e)
 	}
 	for _, w := range p.gr {
 		s.writeGR(w.r, w.v)
@@ -255,12 +269,14 @@ func (s *State) Group(ins []*ir.Instr) ([]Effect, error) {
 	for _, w := range p.pr {
 		s.writePR(w.r, w.v)
 	}
-	return effs, nil
+	return s.effs, nil
 }
 
-// Exec executes a single instruction immediately (one-instruction group).
+// Exec executes a single instruction immediately (one-instruction group)
+// and returns a copy of its effect.
 func (s *State) Exec(in *ir.Instr) (Effect, error) {
-	e, err := s.Group([]*ir.Instr{in})
+	ins := [1]*ir.Instr{in}
+	e, err := s.Group(ins[:])
 	if err != nil {
 		return Effect{}, err
 	}

@@ -187,6 +187,59 @@ func TestGroupReadsBeforeWrites(t *testing.T) {
 	}
 }
 
+// TestGroupEffectsLifetime pins Group's buffer contract: the effects it
+// returns are the state's own buffer, valid until the next Group or Exec
+// call, while Exec hands back a copy that later calls leave alone. A group
+// aborted by an error leaves no pending writes behind for the next one.
+func TestGroupEffectsLifetime(t *testing.T) {
+	s := NewState()
+	s.GR[4] = 0x1000
+	ld := ir.Ld(ir.GR(5), ir.GR(4), 8, 0)
+	add := ir.AddI(ir.GR(6), ir.GR(6), 1)
+
+	effs, err := s.Group([]*ir.Instr{ld, add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(effs) != 2 || !effs[0].IsLoad || effs[0].Addr != 0x1000 || effs[1].IsMem {
+		t.Fatalf("effects = %+v, want [load@0x1000 alu]", effs)
+	}
+	next, err := s.Group([]*ir.Instr{add, ld})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &next[0] != &effs[0] || effs[0].IsLoad {
+		t.Errorf("Group did not reuse its effects buffer: first slot now %+v", effs[0])
+	}
+
+	e, err := s.Exec(ld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Group([]*ir.Instr{add}); err != nil {
+		t.Fatal(err)
+	}
+	if !e.IsLoad || e.Addr != 0x1000 {
+		t.Errorf("Exec result changed by a later Group: %+v", e)
+	}
+
+	group := []*ir.Instr{ld, add}
+	if n := testing.AllocsPerRun(100, func() { s.Group(group) }); n != 0 {
+		t.Errorf("Group allocates %v times per call, want 0", n)
+	}
+
+	before := s.GR[6]
+	if _, err := s.Group([]*ir.Instr{add, {Op: ir.Op(250)}}); err == nil {
+		t.Fatal("group with an unknown op: want error")
+	}
+	if _, err := s.Group([]*ir.Instr{{Op: ir.OpNop}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.GR[6] != before {
+		t.Errorf("aborted group's write landed later: r6 = %d, want %d", s.GR[6], before)
+	}
+}
+
 func TestExecArithmetic(t *testing.T) {
 	s := NewState()
 	s.GR[4], s.GR[5] = 10, 3

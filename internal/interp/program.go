@@ -110,10 +110,7 @@ func Run(p *Program, trip int64, mem *Memory) (*State, error) {
 	if len(p.Groups) == 0 {
 		return nil, errors.New("interp: program has no groups")
 	}
-	s := NewState()
-	if mem != nil {
-		s.Mem = mem
-	}
+	s := NewStateWith(mem)
 	s.ApplySetup(p.Setup)
 	s.LC = trip - 1
 	s.DataRotation = !p.NoDataRotation

@@ -77,6 +77,7 @@ func ValidateSemantics(l *Loop) error {
 	}
 
 	defs := map[Reg]int{}
+	var buf []Reg
 	for i, in := range l.Body {
 		where := fmt.Sprintf("body[%d]", i)
 		if math.IsNaN(in.FImm) || math.IsInf(in.FImm, 0) {
@@ -95,7 +96,8 @@ func ValidateSemantics(l *Loop) error {
 				return err
 			}
 		}
-		for _, d := range in.AllDefs() {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
 			if d.IsNone() || !d.Virtual {
 				continue
 			}

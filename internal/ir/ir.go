@@ -401,26 +401,28 @@ func (in *Instr) Clone() *Instr {
 	return &c
 }
 
-// AllUses returns every register the instruction reads: sources, the
-// qualifying predicate, and the base register of a memory access (which is
-// also written back when post-incremented).
-func (in *Instr) AllUses() []Reg {
-	uses := make([]Reg, 0, len(in.Srcs)+1)
-	uses = append(uses, in.Srcs...)
+// AppendUses appends every register the instruction reads to dst and
+// returns the extended slice: sources, then the qualifying predicate. The
+// base register of a memory access is among the sources (and is also
+// written back when post-incremented). Callers pass a reused buffer, as
+// in in.AppendUses(buf[:0]), so the scan allocates nothing.
+func (in *Instr) AppendUses(dst []Reg) []Reg {
+	dst = append(dst, in.Srcs...)
 	if !in.Pred.IsNone() {
-		uses = append(uses, in.Pred)
+		dst = append(dst, in.Pred)
 	}
-	return uses
+	return dst
 }
 
-// AllDefs returns every register the instruction writes, including the
-// post-incremented base register of a memory access.
-func (in *Instr) AllDefs() []Reg {
-	defs := append([]Reg(nil), in.Dsts...)
+// AppendDefs appends every register the instruction writes to dst and
+// returns the extended slice: destinations, then the post-incremented base
+// register of a memory access.
+func (in *Instr) AppendDefs(dst []Reg) []Reg {
+	dst = append(dst, in.Dsts...)
 	if in.Mem != nil && in.Mem.PostInc != 0 && len(in.Srcs) > 0 {
-		defs = append(defs, in.baseReg())
+		dst = append(dst, in.baseReg())
 	}
-	return defs
+	return dst
 }
 
 // baseReg returns the address base register of a memory instruction.

@@ -85,11 +85,11 @@ func TestHintAndStrideStrings(t *testing.T) {
 func TestInstrUsesAndDefs(t *testing.T) {
 	base, dst, val := VGR(0), VGR(1), VGR(2)
 	ld := Ld(dst, base, 4, 8)
-	defs := ld.AllDefs()
+	defs := ld.AppendDefs(nil)
 	if len(defs) != 2 || defs[0] != dst || defs[1] != base {
 		t.Errorf("load defs = %v, want [dst base]", defs)
 	}
-	uses := ld.AllUses()
+	uses := ld.AppendUses(nil)
 	if len(uses) != 1 || uses[0] != base {
 		t.Errorf("load uses = %v, want [base]", uses)
 	}
@@ -98,7 +98,7 @@ func TestInstrUsesAndDefs(t *testing.T) {
 	}
 
 	st := St(base, val, 4, 0)
-	if d := st.AllDefs(); len(d) != 0 {
+	if d := st.AppendDefs(nil); len(d) != 0 {
 		t.Errorf("store without post-inc defines %v", d)
 	}
 	if st.BaseReg() != base {
@@ -107,13 +107,22 @@ func TestInstrUsesAndDefs(t *testing.T) {
 
 	p := VPR(0)
 	add := Predicated(p, Add(dst, base, val))
-	uses = add.AllUses()
+	uses = add.AppendUses(nil)
 	if len(uses) != 3 || uses[2] != p {
 		t.Errorf("predicated add uses = %v, want predicate included", uses)
 	}
 
 	if r := Add(dst, base, val).BaseReg(); !r.IsNone() {
 		t.Errorf("non-memory BaseReg = %v, want None", r)
+	}
+
+	// A reused buffer keeps its prefix and makes the scan allocation-free.
+	buf := make([]Reg, 0, 8)
+	if n := testing.AllocsPerRun(100, func() { buf = ld.AppendUses(ld.AppendDefs(buf[:0])) }); n != 0 {
+		t.Errorf("AppendDefs/AppendUses into a reused buffer allocate %v times", n)
+	}
+	if len(buf) != 3 || buf[0] != dst || buf[1] != base || buf[2] != base {
+		t.Errorf("load defs then uses = %v, want [dst base base]", buf)
 	}
 }
 

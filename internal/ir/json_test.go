@@ -180,7 +180,7 @@ func TestDecodeRestoresVirtualCounters(t *testing.T) {
 	}
 	fresh := dec.NewGR()
 	for _, in := range dec.Body {
-		for _, r := range append(in.AllDefs(), in.AllUses()...) {
+		for _, r := range in.AppendUses(in.AppendDefs(nil)) {
 			if r == fresh {
 				t.Fatalf("fresh register %v collides with body operand", fresh)
 			}

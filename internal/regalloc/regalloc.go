@@ -92,12 +92,31 @@ func (e *OverflowError) Error() string {
 		e.Class, e.Need, e.Capacity)
 }
 
+// DefSites maps each register a loop body writes to the index of its first
+// defining instruction.
+type DefSites map[ir.Reg]int
+
+// DefSitesOf indexes the definitions of l's body in one pass.
+func DefSitesOf(l *ir.Loop) DefSites {
+	defs := DefSites{}
+	var buf []ir.Reg
+	for i, in := range l.Body {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
+			if _, seen := defs[d]; !seen {
+				defs[d] = i
+			}
+		}
+	}
+	return defs
+}
+
 // UseDelta returns the rotating-register offset a use site adds to the
 // defining blade's base: stage(use) + distance - stage(def), where distance
 // is 1 when the definition appears at or after the use in program order
 // (the use consumes the previous source iteration's value).
-func UseDelta(l *ir.Loop, s *modsched.Schedule, useID int, r ir.Reg) (int, bool) {
-	defID, ok := defSite(l, r)
+func (defs DefSites) UseDelta(s *modsched.Schedule, useID int, r ir.Reg) (int, bool) {
+	defID, ok := defs[r]
 	if !ok {
 		return 0, false
 	}
@@ -106,17 +125,6 @@ func UseDelta(l *ir.Loop, s *modsched.Schedule, useID int, r ir.Reg) (int, bool)
 		dist = 1
 	}
 	return s.Stage(useID) + dist - s.Stage(defID), true
-}
-
-func defSite(l *ir.Loop, r ir.Reg) (int, bool) {
-	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
-			if d == r {
-				return i, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // Allocate assigns physical registers for the scheduled loop. The graph g
@@ -136,9 +144,12 @@ func Allocate(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignment
 		defID int
 	}
 	var defined []vreg
+	defs := DefSitesOf(l)
 	seen := map[ir.Reg]bool{}
+	var buf []ir.Reg
 	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
 			if !d.Virtual || seen[d] {
 				continue
 			}
@@ -148,7 +159,8 @@ func Allocate(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignment
 	}
 	var invariant []ir.Reg
 	for _, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if u.Virtual && !seen[u] {
 				seen[u] = true
 				invariant = append(invariant, u)
@@ -184,11 +196,12 @@ func Allocate(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignment
 		maxDelta := 0
 		carried := false
 		for i, in := range l.Body {
-			for _, u := range in.AllUses() {
+			buf = in.AppendUses(buf[:0])
+			for _, u := range buf {
 				if u != v.r {
 					continue
 				}
-				d, _ := UseDelta(l, s, i, v.r)
+				d, _ := defs.UseDelta(s, i, v.r)
 				if d < 0 {
 					return nil, fmt.Errorf("regalloc: %s: negative rotation delta %d for %s at body[%d]",
 						l.Name, d, v.r, i)

@@ -111,19 +111,20 @@ func TestBladesDisjoint(t *testing.T) {
 func TestUseDelta(t *testing.T) {
 	l := runningExample()
 	_, s := compile(t, l, nil, 1)
+	defs := DefSitesOf(l)
 	// add (body 1) uses the load's destination one stage later.
-	d, ok := UseDelta(l, s, 1, l.Body[0].Dsts[0])
+	d, ok := defs.UseDelta(s, 1, l.Body[0].Dsts[0])
 	if !ok || d != 1 {
 		t.Errorf("UseDelta = %d,%v want 1,true", d, ok)
 	}
 	// The store base is read by its own instruction: distance 1, same
 	// stage -> delta 1.
 	base := l.Body[2].BaseReg()
-	d, ok = UseDelta(l, s, 2, base)
+	d, ok = defs.UseDelta(s, 2, base)
 	if !ok || d != 1 {
 		t.Errorf("self UseDelta = %d,%v want 1,true", d, ok)
 	}
-	if _, ok := UseDelta(l, s, 1, ir.VGR(99)); ok {
+	if _, ok := defs.UseDelta(s, 1, ir.VGR(99)); ok {
 		t.Error("UseDelta found a definition for an unknown register")
 	}
 }

@@ -25,16 +25,16 @@ type Histogram struct {
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	h.count.Add(1)
 	h.sumUs.Add(d.Microseconds())
 	ms := float64(d) / float64(time.Millisecond)
-	for i, ub := range latencyBucketsMs {
-		if ms <= ub {
-			h.buckets[i].Add(1)
-			return
-		}
+	i := 0
+	for i < len(latencyBucketsMs) && ms > latencyBucketsMs[i] {
+		i++
 	}
-	h.buckets[len(latencyBucketsMs)].Add(1)
+	h.buckets[i].Add(1)
+	// The count goes last: snapshot loads it first, so a concurrent
+	// snapshot's le_+Inf can lead the count but never trail it.
+	h.count.Add(1)
 }
 
 // histogramJSON is the /metrics rendering of a histogram. Every

@@ -136,15 +136,18 @@ func TestReadRepairReplicatesToPeers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
-	waitFor(t, 5*time.Second, "read-repair to replicate the entry", func() bool {
-		return stores[1].Contains(hash)
-	})
-
+	// The receiver stores the entry before the pusher's put returns and
+	// counts the push, so the replica and the pusher's counters are waited
+	// for together.
 	var m selfhealMetricsDoc
-	get(t, tss[0].URL+"/metrics", &m)
-	if m.Cluster == nil || m.Cluster.RepairRuns == 0 || m.Cluster.RepairPushes == 0 {
-		t.Fatalf("pusher metrics: %+v", m.Cluster)
-	}
+	waitFor(t, 5*time.Second, "read-repair to replicate the entry and count the push", func() bool {
+		if !stores[1].Contains(hash) {
+			return false
+		}
+		m = selfhealMetricsDoc{}
+		get(t, tss[0].URL+"/metrics", &m)
+		return m.Cluster != nil && m.Cluster.RepairRuns >= 1 && m.Cluster.RepairPushes >= 1
+	})
 	// The receiver recorded the replica in its own provenance chain, under
 	// the same checksum the pusher pinned.
 	var p0, p1 wire.ProvenanceResponse

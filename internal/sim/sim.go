@@ -150,6 +150,11 @@ type Result struct {
 // Runner simulates programs against a persistent cache hierarchy, so that
 // successive executions of a loop (trip-count distributions) see warm
 // caches exactly as repeated invocations in a real program would.
+//
+// A Runner owns its per-issue-group scratch and reuses it from group to
+// group and run to run, so a simulated cycle allocates nothing. It is
+// therefore for one goroutine at a time; concurrent simulations use one
+// Runner each.
 type Runner struct {
 	cfg  Config
 	hier *cache.Hierarchy
@@ -157,6 +162,20 @@ type Runner struct {
 	// clock is the absolute cycle counter, persistent across Run calls so
 	// that cache fill timestamps from earlier executions stay meaningful.
 	clock int64
+
+	regs      []ir.Reg  // one instruction's uses or defs
+	defs      []defSite // the group's destinations, resolved before it executes
+	loadReady []int64   // data-ready cycle of each load, by group position
+}
+
+// defSite is a destination register of an issue group, with its physical
+// index recorded before the group executes. instr is nil for the cleared
+// destinations of a predicated-off compare; pos is instr's group position.
+type defSite struct {
+	idx   int
+	reg   ir.Reg
+	instr *ir.Instr
+	pos   int
 }
 
 // NewRunner creates a runner with a cold hierarchy.
@@ -170,14 +189,10 @@ func NewRunner(cfg Config) *Runner {
 // Hierarchy exposes the runner's cache hierarchy (tests warm or inspect it).
 func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 
-// DropCaches empties the hierarchy (keeping the global clock), modeling
-// the eviction a loop's data suffers from the rest of the program between
-// two invocations.
-func (r *Runner) DropCaches() {
-	st := r.hier.Stats
-	r.hier = cache.New(r.cfg.Cache)
-	r.hier.Stats = st
-}
+// DropCaches empties the hierarchy in place (keeping its statistics and
+// the global clock), modeling the eviction a loop's data suffers from the
+// rest of the program between two invocations.
+func (r *Runner) DropCaches() { r.hier.Reset() }
 
 // Run simulates one execution of the program with the given trip count
 // against mem (which may be shared across runs for warm data).
@@ -185,10 +200,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 	if trip < 1 {
 		return nil, fmt.Errorf("sim: trip count %d < 1", trip)
 	}
-	st := interp.NewState()
-	if mem != nil {
-		st.Mem = mem
-	}
+	st := interp.NewStateWith(mem)
 	st.ApplySetup(p.Setup)
 	st.LC = trip - 1
 	st.DataRotation = !p.NoDataRotation
@@ -251,7 +263,8 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 			if !st.PredOn(in) {
 				continue
 			}
-			for _, u := range in.AllUses() {
+			r.regs = in.AppendUses(r.regs[:0])
+			for _, u := range r.regs {
 				if u.IsNone() {
 					continue
 				}
@@ -313,13 +326,8 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 
 		// Record physical destination indices before execution (rotation
 		// does not occur within a group, but the state's values change).
-		type defSite struct {
-			idx   int
-			reg   ir.Reg
-			instr *ir.Instr
-		}
-		var defs []defSite
-		for _, in := range group {
+		defs := r.defs[:0]
+		for pos, in := range group {
 			if !st.PredOn(in) {
 				// cmp.unc still clears its destinations; they become ready
 				// next cycle.
@@ -327,32 +335,34 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 				case ir.OpCmpEq, ir.OpCmpLt, ir.OpCmpEqI, ir.OpCmpLtI, ir.OpFCmpLt:
 					for _, d := range in.Dsts {
 						if !d.IsNone() {
-							defs = append(defs, defSite{st.PhysIndex(d), d, nil})
+							defs = append(defs, defSite{st.PhysIndex(d), d, nil, pos})
 						}
 					}
 				}
 				continue
 			}
-			for _, d := range in.AllDefs() {
+			r.regs = in.AppendDefs(r.regs[:0])
+			for _, d := range r.regs {
 				if d.IsNone() {
 					continue
 				}
-				defs = append(defs, defSite{st.PhysIndex(d), d, in})
+				defs = append(defs, defSite{st.PhysIndex(d), d, in, pos})
 			}
 		}
+		r.defs = defs
 
 		effs, err := st.Group(group)
 		if err != nil {
 			return err
 		}
 
-		if bankOf != nil {
-			for k := range bankOf {
-				delete(bankOf, k)
-			}
-		}
+		clear(bankOf)
 		// Memory requests: OzQ admission, cache access, bank conflicts.
-		loadReady := map[*ir.Instr]int64{}
+		if cap(r.loadReady) < len(group) {
+			r.loadReady = make([]int64, len(group))
+		}
+		loadReady := r.loadReady[:len(group)]
+		clear(loadReady)
 		for i, in := range group {
 			eff := effs[i]
 			if !eff.Executed || !eff.IsMem {
@@ -418,7 +428,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 				}
 			}
 			if eff.IsLoad {
-				loadReady[in] = cres.ReadyAt
+				loadReady[i] = cres.ReadyAt
 			}
 		}
 
@@ -431,7 +441,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 			case d.instr == nil:
 				ready = t + 1 // cleared compare destinations
 			case d.instr.Op.IsLoad() && d.reg == d.instr.Dsts[0]:
-				ready = loadReady[d.instr] // load data result
+				ready = loadReady[d.pos] // load data result
 				site = d.instr.ID
 			case d.instr.Op.IsMem():
 				ready = t + 1 // post-incremented base

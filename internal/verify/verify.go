@@ -108,8 +108,10 @@ func Schedule(m *machine.Model, l *ir.Loop, s *modsched.Schedule, asn *regalloc.
 // scheduler relies on this too, but we re-derive it rather than trust it).
 func singleDefs(l *ir.Loop) (map[ir.Reg]int, error) {
 	defOf := make(map[ir.Reg]int)
+	var buf []ir.Reg
 	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
+		buf = in.AppendDefs(buf[:0])
+		for _, d := range buf {
 			if d.IsNone() {
 				continue
 			}
@@ -148,8 +150,10 @@ func depDistance(defID, useID int) int {
 }
 
 func checkDependences(m *machine.Model, l *ir.Loop, s *modsched.Schedule, defOf map[ir.Reg]int) error {
+	var buf []ir.Reg
 	for useID, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if u.IsNone() {
 				continue
 			}
@@ -195,13 +199,15 @@ func inPlaceRegs(l *ir.Loop, defOf map[ir.Reg]int) map[ir.Reg]int {
 // group, so equality is legal.
 func checkInPlace(l *ir.Loop, s *modsched.Schedule, defOf map[ir.Reg]int) error {
 	inPlace := inPlaceRegs(l, defOf)
+	var buf []ir.Reg
 	for r, d := range inPlace {
 		for j, in := range l.Body {
 			if j == d {
 				continue
 			}
 			reads := false
-			for _, u := range in.AllUses() {
+			buf = in.AppendUses(buf[:0])
+			for _, u := range buf {
 				if u == r {
 					reads = true
 					break
@@ -309,8 +315,10 @@ func checkRegisters(m *machine.Model, l *ir.Loop, s *modsched.Schedule, asn *reg
 	inPlace := inPlaceRegs(l, defOf)
 
 	// Every virtual register touched by the body must have a home.
+	var buf []ir.Reg
 	for _, in := range l.Body {
-		for _, r := range append(in.AllUses(), in.AllDefs()...) {
+		buf = in.AppendDefs(in.AppendUses(buf[:0]))
+		for _, r := range buf {
 			if r.IsNone() || !r.Virtual {
 				continue
 			}
@@ -372,7 +380,8 @@ func checkRegisters(m *machine.Model, l *ir.Loop, s *modsched.Schedule, asn *reg
 	// between def and use (plus one for loop-carried reads) is how far the
 	// value has rotated away from its definition slot.
 	for useID, in := range l.Body {
-		for _, u := range in.AllUses() {
+		buf = in.AppendUses(buf[:0])
+		for _, u := range buf {
 			if u.IsNone() || !u.Virtual {
 				continue
 			}
